@@ -32,7 +32,8 @@ from repro.gossip.config import SystemConfig
 from repro.membership.views import ViewConfig
 from repro.metrics.delivery import DeliveryStats, analyze_delivery
 from repro.scenarios.spec import ScenarioSpec, SenderSpec, build_latency
-from repro.sim.faults import CrashWindow
+from repro.sim.faults import compile_program
+from repro.sim.network import RULE_OPS
 from repro.sim.vector import vector_ineligible_reason
 from repro.sim.vector_parallel import parallel_ineligible_reason, resolve_shards
 from repro.workload.cluster import SimCluster
@@ -344,9 +345,8 @@ def _summarise(cluster: SimCluster, spec: RunSpec) -> RunResult:
     # end-of-run directory (see analyze_delivery's size_at). Loss/
     # partition/bandwidth fault windows never change membership, so they
     # keep the cheap fixed-denominator path.
-    moving_membership = spec.churn is not None or (
-        spec.faults is not None
-        and any(isinstance(f, CrashWindow) for f in spec.faults.faults)
+    moving_membership = spec.churn is not None or any(
+        op not in RULE_OPS for _, op, _ in compile_program(faults=spec.faults)
     )
     window_messages = m.messages_in_window(since, until)
     delivery = analyze_delivery(

@@ -39,6 +39,7 @@ from repro.membership.views import PartialViewMembership, ViewConfig
 from repro.runtime.codec import BinaryCodec
 from repro.runtime.node import RuntimeNode
 from repro.runtime.transport import ChaosRules, ChaosTransport, InMemoryHub, UdpTransport
+from repro.sim.faults import compile_program, prestart_split
 from repro.sim.rng import RngRegistry
 
 __all__ = ["ThreadedCluster"]
@@ -230,18 +231,12 @@ class ThreadedCluster(Driver):
             wall_clock = cluster._clock
             cluster.chaos.bind_clock(lambda: wall_clock() / scale)
         # conditions present from t=0 (e.g. slow receivers) apply before
-        # the threads start, directly on the still-unshared protocols.
-        # Must stay the exact complement of the timed-action queue in
-        # run_scenario_threaded, which excludes t=0 CapacityChanges.
-        from repro.workload.dynamics import CapacityChange
-
-        for change in spec.resources.changes:
-            if change.time == 0.0 and isinstance(change, CapacityChange):
-                for node in change.nodes:
-                    if node in cluster.nodes:
-                        cluster.nodes[node].protocol.set_buffer_capacity(
-                            change.capacity, 0.0
-                        )
+        # the threads start, directly on the still-unshared protocols;
+        # run_scenario_threaded replays the rest of the program
+        prestart, _ = prestart_split(compile_program(resources=spec.resources))
+        for _, _, (node, capacity) in prestart:
+            if node in cluster.nodes:
+                cluster.nodes[node].protocol.set_buffer_capacity(capacity, 0.0)
         return cluster
 
     def _default_system(self) -> SystemConfig:
@@ -298,13 +293,18 @@ class ThreadedCluster(Driver):
 
         The change is queued onto the node's own thread (the protocol is
         never touched cross-thread) — the threaded counterpart of
-        :meth:`repro.workload.cluster.SimCluster.set_capacity`.
+        :meth:`repro.workload.cluster.SimCluster.set_capacity`. Unknown
+        nodes are skipped.
         """
+
+        node = self.nodes.get(node_id)
+        if node is None:
+            return
 
         def apply(protocol, now: float) -> None:
             protocol.set_buffer_capacity(capacity, now)
 
-        self.nodes[node_id].invoke(apply)
+        node.invoke(apply)
 
     def note_admitted(self, node_id: Any, event_id, when: Optional[float] = None) -> None:
         """Record an admission in the metrics (used by runtime tests)."""

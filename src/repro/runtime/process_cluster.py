@@ -46,7 +46,8 @@ from typing import Optional, Sequence
 from repro.metrics.collector import MetricsCollector
 from repro.runtime.transport import ChaosStats
 from repro.runtime.worker import WorkerConfig, WorkerReport, worker_main
-from repro.sim.faults import CrashWindow
+from repro.sim.faults import compile_program
+from repro.sim.network import RULE_OPS
 from repro.sim.rng import derive_seed
 
 __all__ = [
@@ -137,11 +138,9 @@ def scenario_identities(spec) -> list:
     every worker holds stays valid for the whole run.
     """
     identities = set(range(spec.n_nodes))
-    for event in spec.churn.sorted_events():
-        identities.add(event.node)
-    for fault in spec.faults.faults:
-        if isinstance(fault, CrashWindow):
-            identities.update(fault.nodes)
+    for _, op, args in compile_program(faults=spec.faults, churn=spec.churn):
+        if op not in RULE_OPS:  # crash/join/leave name their node
+            identities.add(args[0])
     return sorted(identities)
 
 
@@ -226,8 +225,8 @@ class ProcessCluster:
     # ------------------------------------------------------------------
     def run(self, wall_seconds: Optional[float] = None) -> ProcessRunResult:
         spec = self.spec
-        spec.faults.validate()  # before any process exists, like threaded
         wall = spec.duration * self.scale if wall_seconds is None else wall_seconds
+        # compiling the program validates the scripts before any process exists
         identities = scenario_identities(spec)
         attempt = 0
         try:

@@ -24,6 +24,7 @@ adaptive state), so launchers and tests can assert on behaviour.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -228,14 +229,8 @@ def run_node(args) -> dict:
         report["allowed_rate"] = round(allowed, 3)
         report["min_buff"] = getattr(protocol, "min_buff_estimate", None)
     if chaos is not None:
-        cs = chaos.stats
-        report["chaos"] = {
-            "sent": cs.sent,
-            "dropped": cs.dropped,
-            "link_dropped": cs.link_dropped,
-            "oneway_dropped": cs.oneway_blocked,
-            "eaten": cs.eaten,
-        }
+        # the whole ChaosStats vocabulary, under its own field names
+        report["chaos"] = {**dataclasses.asdict(chaos.stats), "eaten": chaos.stats.eaten}
     return report
 
 

@@ -38,14 +38,9 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
-from repro.sim.network import (
-    RateWindow,
-    build_partition_map,
-    crosses_oneway,
-    crosses_partition,
-)
+from repro.sim.network import LinkRules
 from repro.sim.rng import derive_seed
 
 __all__ = [
@@ -199,25 +194,30 @@ class UdpTransport:
 # ----------------------------------------------------------------------
 @dataclass
 class ChaosStats:
-    """What the chaos layer did to traffic (whole rule set, all nodes)."""
+    """What the chaos layer did to traffic (whole rule set, all nodes).
+
+    The eaten-datagram counters carry the
+    :class:`~repro.sim.network.NetworkStats` names — each is the name of
+    the :meth:`~repro.sim.network.LinkRules.verdict` that charges it.
+    """
 
     sent: int = 0  # passed through (possibly after a delay)
-    dropped: int = 0  # eaten by the loss model
     delayed: int = 0  # forwarded late through the delay line
-    capped: int = 0  # eaten by the bandwidth cap
-    blocked: int = 0  # eaten by an open partition
+    partitioned: int = 0  # eaten by an open partition
     oneway_blocked: int = 0  # eaten by a one-way (directed) cut
-    link_dropped: int = 0  # eaten by the per-link loss matrix
+    capped: int = 0  # eaten by the bandwidth cap
+    lost: int = 0  # eaten by the loss model
+    link_lost: int = 0  # eaten by the per-link loss matrix
 
     @property
     def eaten(self) -> int:
         """Everything that never reached the wire."""
         return (
-            self.dropped
-            + self.capped
-            + self.blocked
+            self.partitioned
             + self.oneway_blocked
-            + self.link_dropped
+            + self.capped
+            + self.lost
+            + self.link_lost
         )
 
 
@@ -280,10 +280,15 @@ class DelayLine:
             thread.join(timeout=2.0)
 
 
-class ChaosRules:
+class ChaosRules(LinkRules):
     """The live fault rule set one cluster's chaos endpoints consult.
 
-    Thread-safety: mutators may be called from any thread (the scenario
+    The rule state, setters and per-send decision are the simulator's
+    own :class:`~repro.sim.network.LinkRules`, so the drivers share the
+    semantics, not just the setter names; this class adds the lock,
+    latency scaling, the address map and the delay line.
+
+    Thread-safety: setters may be called from any thread (the scenario
     fault scheduler lives on the feeder thread, decisions happen on node
     threads); every read/write of the rule state goes through one lock.
     Decision RNGs live in the per-endpoint :class:`ChaosTransport`, not
@@ -321,23 +326,14 @@ class ChaosRules:
     ) -> None:
         if latency_scale <= 0:
             raise ValueError("latency_scale must be > 0")
-        self._lock = threading.Lock()
-        self._loss = loss
+        super().__init__(loss, lock=threading.Lock())
         self._latency = latency
         self._latency_scale = latency_scale
-        self._cap = RateWindow()
-        self._partition_of: dict[Any, int] = {}
-        self._oneway_of: dict[Any, int] = {}
-        self._oneway_blocked: frozenset = frozenset()
-        self._link_loss: Optional[dict] = None
         self._clock = clock
         self._node_of = node_of if node_of is not None else lambda addr: addr
         self.stats = ChaosStats()
         self.delay_line = DelayLine()
 
-    # ------------------------------------------------------------------
-    # rule mutation (any thread)
-    # ------------------------------------------------------------------
     def bind_address_map(self, node_of: Callable[[Any], Any]) -> None:
         """Install the address→node translation (clusters wire this)."""
         self._node_of = node_of
@@ -352,118 +348,31 @@ class ChaosRules:
         """
         with self._lock:
             self._clock = clock
-            self._cap.set(self._cap.rate)  # restart the current window
-
-    def set_loss(self, loss: Optional[Any]) -> None:
-        """Install (or clear) the loss model."""
-        with self._lock:
-            self._loss = loss
+        self.set_bandwidth_cap(self.cap.rate)  # restart the current window
 
     def set_latency(self, latency: Optional[Any]) -> None:
         """Install (or clear) the latency model."""
         with self._lock:
             self._latency = latency
 
-    def set_bandwidth_cap(self, rate: Optional[float]) -> None:
-        """Cap throughput at ``rate`` datagrams per wall second.
-
-        The accounting is the simulator's own
-        :class:`~repro.sim.network.RateWindow` (one-second windows), so
-        the two drivers share the semantics, not just the name.
-        """
-        window = RateWindow()
-        window.set(rate)  # validate outside the lock
-        with self._lock:
-            self._cap = window
-
-    def partition(self, groups: Sequence[Sequence[Any]]) -> None:
-        """Split the group: sends may only cross within one group.
-
-        Nodes not named in any group share the implicit group ``-1`` —
-        the simulator's convention (the map and the crossing check are
-        the simulator's own helpers).
-        """
-        partition_of = build_partition_map(groups)
-        with self._lock:
-            self._partition_of = partition_of
-
-    def heal(self) -> None:
-        """Remove any partition (one-way cuts are a separate knob)."""
-        with self._lock:
-            self._partition_of = {}
-
-    def partition_oneway(
-        self, groups: Sequence[Sequence[Any]], blocked: Sequence[Sequence[int]]
-    ) -> None:
-        """Cut the *directed* group edges in ``blocked``.
-
-        Same semantics as the simulator's
-        :meth:`~repro.sim.network.Network.partition_oneway` (the map and
-        the crossing check are the simulator's own helpers): ``groups``
-        splits the nodes, ``blocked`` names ``(src_group, dst_group)``
-        index pairs that can no longer be crossed; the reverse direction
-        still flows. Independent of :meth:`partition`.
-        """
-        oneway_of = build_partition_map(groups)
-        oneway_blocked = frozenset((a, b) for a, b in blocked)
-        with self._lock:
-            self._oneway_of = oneway_of
-            self._oneway_blocked = oneway_blocked
-
-    def heal_oneway(self) -> None:
-        """Remove any one-way cut."""
-        with self._lock:
-            self._oneway_of = {}
-            self._oneway_blocked = frozenset()
-
-    def set_link_loss(self, matrix: Optional[dict]) -> None:
-        """Install (or with ``None`` clear) a sparse per-link loss matrix.
-
-        ``matrix`` maps ``(src, dst)`` node-id pairs to loss
-        probabilities; pairs without an entry are unaffected. Consulted
-        *after* the global loss model and only draws from the RNG for
-        pairs with an entry — the simulator's contract.
-        """
-        frozen = dict(matrix) if matrix else None
-        with self._lock:
-            self._link_loss = frozen
-
-    # ------------------------------------------------------------------
-    # the decision (sender's node thread)
-    # ------------------------------------------------------------------
     def plan(self, src: Any, dest_addr: Any, rng: random.Random) -> Optional[float]:
         """Decide one send's fate: None = eat it, else delay in seconds.
 
-        Rule order mirrors the simulator's network: partition and cap
-        filtering happen *before* the loss model, so the RNG stream of
-        drop decisions is untouched by non-random rules, and the latency
-        draw happens last. The whole decision runs inside one lock
-        acquisition — loss models may be stateful (``BurstLoss`` mutates
-        per decision) and are shared by every node thread, so the model
-        call itself must be serialised, not just the rule snapshot.
+        The rules are the simulator's (:meth:`LinkRules.verdict`, which
+        names the :class:`ChaosStats` counter an eaten send charges);
+        the latency draw happens last. The whole decision runs inside
+        one lock acquisition — loss models may be stateful
+        (``BurstLoss`` mutates per decision) and are shared by every
+        node thread, so the model call itself must be serialised, not
+        just the rule snapshot.
         """
         dst = self._node_of(dest_addr)
         with self._lock:
             stats = self.stats
-            if crosses_partition(self._partition_of, src, dst):
-                stats.blocked += 1
+            verdict = self.verdict(src, dst, self._clock(), rng)
+            if verdict is not None:
+                setattr(stats, verdict, getattr(stats, verdict) + 1)
                 return None
-            if self._oneway_blocked and crosses_oneway(
-                self._oneway_of, self._oneway_blocked, src, dst
-            ):
-                stats.oneway_blocked += 1
-                return None
-            if self._cap.rate is not None and self._cap.exceeded(self._clock()):
-                stats.capped += 1
-                return None
-            if self._loss is not None and self._loss.is_lost(src, dst, rng):
-                stats.dropped += 1
-                return None
-            if self._link_loss is not None:
-                p = self._link_loss.get((src, dst))
-                if p is not None and rng.random() < p:
-                    stats.link_dropped += 1
-                    return None
             if self._latency is not None:
                 delay = self._latency.sample(src, dst, rng) * self._latency_scale
                 if delay > 0:

@@ -51,17 +51,8 @@ from repro.membership.views import PartialViewMembership, ViewConfig
 from repro.metrics.collector import MetricsCollector
 from repro.runtime.codec import BinaryCodec
 from repro.runtime.transport import ChaosRules, ChaosStats
-from repro.sim.faults import (
-    AsymmetricPartitionWindow,
-    BandwidthCapWindow,
-    CrashWindow,
-    LinkLossWindow,
-    LossWindow,
-    PartitionWindow,
-)
-from repro.sim.network import BernoulliLoss
+from repro.sim.faults import compile_program, prestart_split
 from repro.sim.rng import RngRegistry, derive_seed
-from repro.workload.dynamics import CapacityChange
 
 __all__ = ["WorkerConfig", "WorkerReport", "ShardWorker", "worker_main"]
 
@@ -359,24 +350,30 @@ class ShardWorker:
         for node_id in sorted(self._own):
             if 0 <= node_id < spec.n_nodes:  # later joiners spawn on cue
                 await self._spawn_node(node_id)
-        # conditions present from t=0 apply before the run, directly on
-        # the still-idle protocols — the complement of the timed actions,
-        # mirroring ThreadedCluster.from_scenario exactly
-        for change in spec.resources.changes:
-            if change.time == 0.0 and isinstance(change, CapacityChange):
-                for node in change.nodes:
-                    if node in self.hosted:
-                        self.hosted[node].protocol.set_buffer_capacity(
-                            change.capacity, 0.0
-                        )
-        from repro.scenarios.runner import _Feeder  # lazy: keeps import light
+        from repro.scenarios.runner import _Feeder, live_actions  # lazy: keeps import light
 
         self.feeders = [
             _Feeder(sender, self.scale, spec.seed)
             for sender in spec.senders
             if sender.node in self._own
         ]
-        self.actions = self._build_actions()
+        program = compile_program(
+            spec.faults, spec.churn, spec.resources, spec.baseline_loss
+        )
+        # conditions present from t=0 apply before the run, directly on
+        # the still-idle protocols (the clock reads 0 until start) — the
+        # complement of the timed actions, like ThreadedCluster.from_scenario
+        prestart, _ = prestart_split(program)
+        for _, _, (node, capacity) in prestart:
+            self.set_capacity(node, capacity)
+        # chaos windows mutate this worker's rule set (each sender
+        # enforces its own copy of the same schedule), crash/churn stop
+        # and restart owned nodes for real while *all* workers replicate
+        # the directory change, resource changes touch owned protocols
+        # and feeders only
+        self.actions = live_actions(
+            program, self.scale, self.rules, self, self.feeders
+        )
 
     async def _spawn_node(self, node_id) -> _AsyncNode:
         membership = self._make_membership(node_id)
@@ -405,104 +402,16 @@ class ShardWorker:
         return PartialViewMembership(node_id, cfg, initial_view=bootstrap)
 
     # ------------------------------------------------------------------
-    # the scheduled conditions (compiled once, fired by one task)
+    # node ops of the fault program (every worker replicates the
+    # directory; only the owner touches sockets and protocols)
     # ------------------------------------------------------------------
-    def _build_actions(self) -> list:
-        """Every timed condition as ``(wall_time, seq, thunk)`` triples.
+    def set_capacity(self, node, capacity: int) -> None:
+        """Resize an owned, running node's buffer (others are skipped)."""
+        hosted = self.hosted.get(node)
+        if hosted is not None and hosted.alive:
+            hosted.protocol.set_buffer_capacity(capacity, self.clock())
 
-        The same lowering as the threaded driver's ``_threaded_actions``,
-        worker-local: chaos windows mutate this worker's rule set (each
-        sender enforces its own copy of the same schedule), crash/churn
-        stop and restart owned nodes for real while *all* workers
-        replicate the directory change, resource changes touch owned
-        protocols and feeders only.
-        """
-        spec = self.cfg.spec
-        actions: list[tuple[float, int, Any]] = []
-
-        def add(spec_time: float, thunk) -> None:
-            actions.append((spec_time * self.scale, len(actions), thunk))
-
-        for change in spec.resources.changes:
-            if change.time == 0.0 and isinstance(change, CapacityChange):
-                continue  # applied pre-start by bind_initial
-            if isinstance(change, CapacityChange):
-
-                def apply_capacity(c=change):
-                    for node in c.nodes:
-                        hosted = self.hosted.get(node)
-                        if hosted is not None and hosted.alive:
-                            hosted.protocol.set_buffer_capacity(
-                                c.capacity, self.clock()
-                            )
-
-                add(change.time, apply_capacity)
-            else:  # OfferedRateChange — repace the affected owned feeders
-
-                def repace(c=change):
-                    for feeder in self.feeders:
-                        if feeder.node in c.nodes:
-                            feeder.arrivals.rate = c.rate
-
-                add(change.time, repace)
-
-        rules = self.rules
-        baseline = spec.baseline_loss
-        for fault in spec.faults.faults:
-            if rules is not None and isinstance(fault, LossWindow):
-                add(fault.time, lambda f=fault: rules.set_loss(BernoulliLoss(f.p)))
-                add(fault.time + fault.duration, lambda: rules.set_loss(baseline))
-            elif rules is not None and isinstance(fault, LinkLossWindow):
-                add(fault.time, lambda f=fault: rules.set_link_loss(f.matrix))
-                add(fault.time + fault.duration, lambda: rules.set_link_loss(None))
-            elif rules is not None and isinstance(fault, PartitionWindow):
-                add(
-                    fault.time,
-                    lambda f=fault: rules.partition([list(g) for g in f.groups]),
-                )
-                add(fault.time + fault.duration, rules.heal)
-            elif rules is not None and isinstance(fault, AsymmetricPartitionWindow):
-                add(
-                    fault.time,
-                    lambda f=fault: rules.partition_oneway(
-                        [list(g) for g in f.groups], f.blocked
-                    ),
-                )
-                add(fault.time + fault.duration, rules.heal_oneway)
-            elif rules is not None and isinstance(fault, BandwidthCapWindow):
-                add(fault.time, lambda f=fault: rules.set_bandwidth_cap(f.rate))
-                add(
-                    fault.time + fault.duration,
-                    lambda: rules.set_bandwidth_cap(None),
-                )
-            elif isinstance(fault, CrashWindow):
-
-                def crash(f=fault):
-                    for node in f.nodes:
-                        self._crash(node)
-
-                add(fault.time, crash)
-                if fault.restart_at is not None:
-
-                    def restart(f=fault):
-                        for node in f.nodes:
-                            self._join(node)
-
-                    add(fault.restart_at, restart)
-            # unknown kinds are reported by process_coverage as skipped
-
-        dispatch = {"join": self._join, "leave": self._leave, "crash": self._crash}
-        for event in spec.churn.sorted_events():
-            add(event.time, lambda fn=dispatch[event.action], n=event.node: fn(n))
-
-        actions.sort(key=lambda entry: (entry[0], entry[1]))
-        return actions
-
-    # ------------------------------------------------------------------
-    # live membership (every worker replicates the directory; only the
-    # owner touches sockets)
-    # ------------------------------------------------------------------
-    def _crash(self, node) -> None:
+    def crash_node(self, node) -> None:
         """Silent failure: directory leave everywhere, socket down here."""
         if not self.host.directory.is_alive(node):
             return
@@ -511,7 +420,7 @@ class ShardWorker:
         if hosted is not None:
             hosted.stop()
 
-    def _leave(self, node) -> None:
+    def leave_node(self, node) -> None:
         """Graceful departure: unsubscribe rides one more round out."""
         if not self.host.directory.is_alive(node):
             return
@@ -527,7 +436,7 @@ class ShardWorker:
         else:  # full membership: the directory itself is the announcement
             hosted.stop()
 
-    def _join(self, node) -> None:
+    def join_node(self, node) -> None:
         """(Re)join: fresh protocol, old identity, same mapped port."""
         hosted = self.hosted.get(node)
         if self.host.directory.is_alive(node) and (
@@ -566,11 +475,11 @@ class ShardWorker:
             self._tasks.append(self.loop.create_task(self._run_feeder(feeder)))
 
     async def _run_actions(self) -> None:
-        for due, _, fire in self.actions:
+        for due, fire, args in self.actions:
             delay = due - self.clock()
             if delay > 0:
                 await asyncio.sleep(delay)
-            fire()
+            fire(*args)
 
     async def _run_feeder(self, feeder) -> None:
         while True:

@@ -61,8 +61,8 @@ from repro.scenarios.spec import (
     SenderSpec,
     WanClusters,
 )
-from repro.sim.faults import CrashWindow
-from repro.sim.network import BernoulliLoss
+from repro.sim.faults import compile_program
+from repro.sim.network import RULE_OPS, BernoulliLoss
 from repro.sim.rng import derive_seed
 
 __all__ = [
@@ -74,8 +74,8 @@ __all__ = [
 ]
 
 # window-family keys for the no-overlap slot allocator; mirrors
-# faults._EXCLUSIVE_FAMILIES (conditions of one family must not overlap,
-# different families may — that composition is exactly what we fuzz)
+# FaultScript.validate (windows of one kind must not overlap, different
+# kinds may — that composition is exactly what we fuzz)
 _FAMILY = {
     CorrelatedLoss: "loss",
     LossyLinks: "link-loss",
@@ -103,7 +103,7 @@ def _snap_restarts(spec: ScenarioSpec) -> ScenarioSpec:
         spec.faults,
         faults=[
             dataclasses.replace(f, restart_at=snap(f.restart_at))
-            if isinstance(f, CrashWindow) and f.restart_at is not None
+            if getattr(f, "restart_at", None) is not None
             else f
             for f in spec.faults.faults
         ],
@@ -421,7 +421,9 @@ class ScenarioFuzzer:
             ReliabilityAtLeast(round(floor, 3), metric="avg_receiver_fraction"),
             RedundancyAtMost(ceiling),
         ]
-        crashy = any(isinstance(f, CrashWindow) for f in spec.faults.faults)
+        crashy = any(
+            op not in RULE_OPS for _, op, _ in compile_program(faults=spec.faults)
+        )
         churny = len(spec.churn) > 0
         if not crashy and not churny:
             expectations.append(NoDroppedSenders())

@@ -48,16 +48,8 @@ from repro.experiments.sweep import run_scenario_matrix
 from repro.runtime.cluster import ThreadedCluster
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
-from repro.sim.faults import (
-    AsymmetricPartitionWindow,
-    BandwidthCapWindow,
-    CrashWindow,
-    LinkLossWindow,
-    LossWindow,
-    PartitionWindow,
-)
-from repro.sim.network import BernoulliLoss
-from repro.workload.dynamics import CapacityChange
+from repro.sim.faults import FaultScript, compile_program, prestart_split
+from repro.sim.network import RULE_OPS
 
 __all__ = [
     "ProcessScenarioReport",
@@ -183,15 +175,15 @@ class _Feeder:
         self.next += self.arrivals.next_interval(self.rng) * self.scale
 
 
-_KNOWN_FAULTS = (
-    LossWindow,
-    LinkLossWindow,
-    PartitionWindow,
-    AsymmetricPartitionWindow,
-    BandwidthCapWindow,
-    CrashWindow,
-)
-
+# the first op a fault window compiles to -> its condition label
+_WINDOW_LABELS = {
+    "set_loss": "loss window",
+    "set_link_loss": "per-link loss window",
+    "partition": "partition window",
+    "partition_oneway": "one-way partition window",
+    "set_bandwidth_cap": "bandwidth cap window",
+    "crash_node": "crash window",
+}
 
 # condition -> how each live driver lowers it; the key set is the shared
 # classification, only the wording after ": " differs. Keeping the
@@ -219,29 +211,25 @@ _PROCESS_LOWERING = {
 def _condition_coverage(
     spec: ScenarioSpec, lowering: dict
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    injected: list[str] = []
-    skipped: list[str] = []
-
-    def count(kind) -> int:
-        return sum(1 for f in spec.faults.faults if isinstance(f, kind))
-
-    losses, partitions = count(LossWindow), count(PartitionWindow)
-    caps, crashes = count(BandwidthCapWindow), count(CrashWindow)
-    oneways, link_losses = count(AsymmetricPartitionWindow), count(LinkLossWindow)
-    chaos, crash = lowering["chaos"], lowering["crash"]
-    if losses:
-        injected.append(f"{losses} loss window(s): {chaos}")
-    if link_losses:
-        injected.append(f"{link_losses} per-link loss window(s): {chaos}")
-    if partitions:
-        injected.append(f"{partitions} partition window(s): {chaos}")
-    if oneways:
-        injected.append(f"{oneways} one-way partition window(s): {chaos}")
-    if caps:
-        injected.append(f"{caps} bandwidth cap window(s): {chaos}")
-    if crashes:
-        injected.append(f"{crashes} crash window(s): {crash}")
-    unknown = sum(1 for f in spec.faults.faults if not isinstance(f, _KNOWN_FAULTS))
+    # each window is labelled by the first op it compiles to, so the
+    # audit cannot drift from the program the drivers replay; a window
+    # that compiles to nothing has no lowering anywhere
+    counts = dict.fromkeys(_WINDOW_LABELS, 0)
+    unknown = 0
+    for fault in spec.faults.faults:
+        program = compile_program(faults=FaultScript([fault]))
+        if program:
+            counts[program[0][1]] += 1
+        else:
+            unknown += 1
+    chaos = lowering["chaos"]
+    injected = [
+        f"{n} {_WINDOW_LABELS[op]}(s): "
+        + (chaos if op in RULE_OPS else lowering["crash"])
+        for op, n in counts.items()
+        if n
+    ]
+    skipped = []
     if unknown:
         skipped.append(
             f"{unknown} unrecognised fault window(s): {lowering['unknown']}"
@@ -281,96 +269,29 @@ def process_coverage(spec: ScenarioSpec) -> tuple[tuple[str, ...], tuple[str, ..
     return _condition_coverage(spec, _PROCESS_LOWERING)
 
 
-def _threaded_actions(spec: ScenarioSpec, cluster, scale: float, feeders) -> list:
-    """Lower every timed condition onto ``(wall_time, seq, thunk)`` triples.
+def live_actions(program: tuple, scale: float, rules, nodes, feeders) -> list:
+    """A compiled fault program on a live driver's wall clock.
 
-    The complement of the t=0 work ``ThreadedCluster.from_scenario``
-    already did (t=0 capacity overrides, baseline loss/latency on the
-    chaos rules): resource changes go through the node command queues,
-    loss/partition/bandwidth windows mutate the shared chaos rule set,
-    crash windows and churn events stop/start real node threads.
+    One replay for the threaded and process drivers:
+    ``(wall_time, fn, args)`` triples in program order. Rule ops act on
+    the chaos ``rules``, offered-rate changes repace the local
+    ``feeders``, every other node op acts on ``nodes``. The t=0
+    capacity changes are left out: live drivers apply them before
+    starting (see :func:`~repro.sim.faults.prestart_split`).
     """
-    actions: list[tuple[float, int, object]] = []
 
-    def add(spec_time: float, thunk) -> None:
-        actions.append((spec_time * scale, len(actions), thunk))
+    def set_offered_rate(node, rate: float) -> None:
+        for feeder in feeders:
+            if feeder.node == node:
+                feeder.arrivals.rate = rate
 
-    for change in spec.resources.changes:
-        if change.time == 0.0 and isinstance(change, CapacityChange):
-            continue  # applied pre-start by from_scenario
-        if isinstance(change, CapacityChange):
+    def bind(op: str):
+        if op == "set_offered_rate":
+            return set_offered_rate
+        return getattr(rules if op in RULE_OPS else nodes, op)
 
-            def apply_capacity(c=change):
-                for node in c.nodes:
-                    if node in cluster.nodes:
-                        cluster.set_capacity(node, c.capacity)
-
-            add(change.time, apply_capacity)
-        else:  # OfferedRateChange — repace the affected feeders
-
-            def repace(c=change):
-                for feeder in feeders:
-                    if feeder.node in c.nodes:
-                        feeder.arrivals.rate = c.rate
-
-            add(change.time, repace)
-
-    chaos = cluster.chaos
-    baseline = spec.baseline_loss
-    for fault in spec.faults.faults:
-        if isinstance(fault, LossWindow):
-            add(fault.time, lambda f=fault: chaos.set_loss(BernoulliLoss(f.p)))
-            add(fault.time + fault.duration, lambda: chaos.set_loss(baseline))
-        elif isinstance(fault, LinkLossWindow):
-            add(fault.time, lambda f=fault: chaos.set_link_loss(f.matrix))
-            add(fault.time + fault.duration, lambda: chaos.set_link_loss(None))
-        elif isinstance(fault, PartitionWindow):
-            add(
-                fault.time,
-                lambda f=fault: chaos.partition([list(g) for g in f.groups]),
-            )
-            add(fault.time + fault.duration, chaos.heal)
-        elif isinstance(fault, AsymmetricPartitionWindow):
-            add(
-                fault.time,
-                lambda f=fault: chaos.partition_oneway(
-                    [list(g) for g in f.groups], f.blocked
-                ),
-            )
-            add(fault.time + fault.duration, chaos.heal_oneway)
-        elif isinstance(fault, BandwidthCapWindow):
-            # the chaos cap clock ticks in spec seconds (bound by
-            # from_scenario), so the spec's msg-per-spec-second rate
-            # applies unchanged — same per-second budget granularity as
-            # the simulator's network, not just the same average
-            add(fault.time, lambda f=fault: chaos.set_bandwidth_cap(f.rate))
-            add(fault.time + fault.duration, lambda: chaos.set_bandwidth_cap(None))
-        elif isinstance(fault, CrashWindow):
-
-            def crash(f=fault):
-                for node in f.nodes:
-                    cluster.crash_node(node)
-
-            add(fault.time, crash)
-            if fault.restart_at is not None:
-
-                def restart(f=fault):
-                    for node in f.nodes:
-                        cluster.join_node(node)
-
-                add(fault.restart_at, restart)
-        # unknown kinds are reported by threaded_coverage as skipped
-
-    dispatch = {
-        "join": cluster.join_node,
-        "leave": cluster.leave_node,
-        "crash": cluster.crash_node,
-    }
-    for event in spec.churn.sorted_events():
-        add(event.time, lambda fn=dispatch[event.action], n=event.node: fn(n))
-
-    actions.sort(key=lambda entry: (entry[0], entry[1]))
-    return actions
+    _, timed = prestart_split(program)
+    return [(time * scale, bind(op), args) for time, op, args in timed]
 
 
 def run_scenario_threaded(
@@ -389,19 +310,17 @@ def run_scenario_threaded(
     """
     scale = gossip_period / spec.system.gossip_period
     wall = spec.duration * scale if wall_seconds is None else wall_seconds
-    # the sim path validates inside FaultScript.apply; this path opens/
-    # closes windows itself, so it must reject ambiguous overlapping
-    # same-kind windows just as loudly (specs validate at construction,
-    # but FaultScript is a mutable value that may have grown since) —
-    # and before any thread or transport exists
-    spec.faults.validate()
+    # compiling validates the scripts, before any thread or transport exists
+    program = compile_program(
+        spec.faults, spec.churn, spec.resources, spec.baseline_loss
+    )
     cluster = ThreadedCluster.from_scenario(
         spec, gossip_period=gossip_period, transport=transport
     )
     injected, skipped = threaded_coverage(spec)
 
     feeders = [_Feeder(sender, scale, spec.seed) for sender in spec.senders]
-    actions = _threaded_actions(spec, cluster, scale, feeders)
+    actions = live_actions(program, scale, cluster.chaos, cluster, feeders)
     offers = 0
     next_action = 0
 
@@ -413,9 +332,9 @@ def run_scenario_threaded(
             if now >= wall:
                 break
             while next_action < len(actions) and actions[next_action][0] <= now:
-                _, _, fire = actions[next_action]
+                _, fire, args = actions[next_action]
                 next_action += 1
-                fire()
+                fire(*args)
             wake = t0 + now + 0.02
             for feeder in feeders:
                 while feeder.due(now):

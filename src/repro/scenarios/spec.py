@@ -32,8 +32,9 @@ from typing import Any, Optional
 from repro.core.config import AdaptiveConfig
 from repro.gossip.config import SystemConfig
 from repro.membership.churn import ChurnScript
-from repro.sim.faults import CrashWindow, FaultScript
+from repro.sim.faults import FaultScript, compile_program
 from repro.sim.network import (
+    RULE_OPS,
     ConstantLatency,
     LatencyModel,
     LogNormalLatency,
@@ -82,14 +83,13 @@ def _scale_sender(sender: "SenderSpec", scale: float) -> "SenderSpec":
 
 def _scale_fault(fault, scale: float):
     """A fault window with every time field scaled by ``scale``."""
-    if isinstance(fault, CrashWindow):
-        return dataclasses.replace(
-            fault,
-            time=fault.time * scale,
-            restart_at=None if fault.restart_at is None else fault.restart_at * scale,
-        )
     return dataclasses.replace(
-        fault, time=fault.time * scale, duration=fault.duration * scale
+        fault,
+        **{
+            name: getattr(fault, name) * scale
+            for name in ("time", "duration", "restart_at")
+            if getattr(fault, name, None) is not None
+        },
     )
 
 
@@ -294,7 +294,8 @@ class ScenarioSpec:
         """
         if self.topology is not None or self.baseline_loss is not None:
             return True
-        return any(not isinstance(f, CrashWindow) for f in self.faults.faults)
+        program = compile_program(faults=self.faults)
+        return any(op in RULE_OPS for _, op, _ in program)
 
     # ------------------------------------------------------------------
     # functional updates

@@ -1,4 +1,4 @@
-"""Declarative fault injection for simulations.
+"""Declarative fault injection, compiled once for every driver.
 
 The paper's §5 is candid about a weakness: "network congestion also
 results in correlated message loss thus degrading reliability. This is a
@@ -9,21 +9,29 @@ system so experiments can measure what the adaptation can and cannot
 rescue (see ``benchmarks/test_ablation_correlated_loss.py`` and the
 scenario library in :mod:`repro.scenarios`).
 
+:func:`compile_program` lowers a spec's fault, churn and resource
+scripts into one *fault program*: a time-sorted tuple of
+``(time, op, args)`` entries over the :class:`FaultTarget` vocabulary.
+Every driver replays that program — the simulator schedules it on its
+event heap (:meth:`FaultScript.apply`), the threaded and process
+drivers fire it on a wall clock — so a condition is lowered in exactly
+one place and same-instant ordering cannot drift between drivers.
+
 Loss and bandwidth windows mutate *global* network state, so two open
 windows of the same kind would silently fight over it (the later one
 would win while open, and its close would clobber the earlier one's
 restore). :meth:`FaultScript.validate` therefore rejects overlapping
-windows of the same kind with a clear error; :meth:`FaultScript.apply`
-validates before scheduling anything.
+windows of the same kind with a clear error; :func:`compile_program`
+validates before lowering anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Any, Optional, Protocol, Sequence, Union
 
 from repro.sim.engine import Simulator
-from repro.sim.network import BernoulliLoss, LossModel, Network, NoLoss
+from repro.sim.network import RULE_OPS, BernoulliLoss, LossModel, Network
 
 __all__ = [
     "LossWindow",
@@ -33,7 +41,11 @@ __all__ = [
     "CrashWindow",
     "BandwidthCapWindow",
     "FaultScript",
+    "FaultTarget",
     "OverlappingFaultsError",
+    "compile_program",
+    "schedule_program",
+    "prestart_split",
 ]
 
 
@@ -205,20 +217,6 @@ Fault = Union[
     BandwidthCapWindow,
 ]
 
-# Exclusivity is per knob *family*: each entry groups the window kinds
-# whose open/close mutates one global network knob, and only windows
-# within one family must not overlap among themselves (see module
-# docstring). Kinds in different families hold independent knobs — a
-# LinkLossWindow may legally overlap a PartitionWindow or a LossWindow.
-_EXCLUSIVE_FAMILIES: tuple[tuple[str, tuple[type, ...]], ...] = (
-    ("LossWindow", (LossWindow,)),
-    ("LinkLossWindow", (LinkLossWindow,)),
-    ("PartitionWindow", (PartitionWindow,)),
-    ("AsymmetricPartitionWindow", (AsymmetricPartitionWindow,)),
-    ("BandwidthCapWindow", (BandwidthCapWindow,)),
-)
-
-
 @dataclass
 class FaultScript:
     """An ordered schedule of faults."""
@@ -286,19 +284,20 @@ class FaultScript:
         overlap freely — per-link loss during a partition is a legal,
         meaningful composition.
         """
-        for family, kinds in _EXCLUSIVE_FAMILIES:
-            windows = sorted(
-                (f for f in self.faults if isinstance(f, kinds)),
-                key=lambda f: (f.time, f.duration),
-            )
-            for earlier, later in zip(windows, windows[1:]):
-                if later.time < earlier.time + earlier.duration:
-                    raise OverlappingFaultsError(
-                        f"overlapping {family}s: {earlier} is still open "
-                        f"at t={later.time} when {later} starts; overlapping "
-                        "windows of one knob family do not compose — merge "
-                        "them into one window or separate them in time"
-                    )
+        # every window with a duration holds one knob of its own kind
+        # for that long (crash windows act on nodes, not knobs)
+        windows = sorted(
+            (f for f in self.faults if hasattr(f, "duration")),
+            key=lambda f: (type(f).__name__, f.time, f.duration),
+        )
+        for earlier, later in zip(windows, windows[1:]):
+            if type(later) is type(earlier) and later.time < earlier.time + earlier.duration:
+                raise OverlappingFaultsError(
+                    f"overlapping {type(earlier).__name__}s: {earlier} is still "
+                    f"open at t={later.time} when {later} starts; overlapping "
+                    "windows of one knob family do not compose — merge "
+                    "them into one window or separate them in time"
+                )
 
     # ------------------------------------------------------------------
     # scheduling
@@ -310,44 +309,141 @@ class FaultScript:
         baseline_loss: Optional[LossModel] = None,
         cluster=None,
     ) -> None:
-        """Validate, then schedule every fault window on the simulator.
+        """Compile this script and schedule its program on the simulator.
 
         ``baseline_loss`` is restored when a loss window closes (defaults
         to no loss). ``cluster`` — a :class:`~repro.workload.cluster.SimCluster`
         — is required when the script contains :class:`CrashWindow`s
         (crash/restart acts on nodes, not on the network).
         """
-        self.validate()
-        restore = baseline_loss if baseline_loss is not None else NoLoss()
-        for fault in sorted(self.faults, key=lambda f: f.time):
-            if isinstance(fault, LossWindow):
-                sim.schedule_at(fault.time, network.set_loss, BernoulliLoss(fault.p))
-                sim.schedule_at(fault.time + fault.duration, network.set_loss, restore)
-            elif isinstance(fault, LinkLossWindow):
-                sim.schedule_at(fault.time, network.set_link_loss, fault.matrix)
-                sim.schedule_at(fault.time + fault.duration, network.set_link_loss, None)
-            elif isinstance(fault, PartitionWindow):
-                sim.schedule_at(fault.time, network.partition, [list(g) for g in fault.groups])
-                sim.schedule_at(fault.time + fault.duration, network.heal)
-            elif isinstance(fault, AsymmetricPartitionWindow):
-                sim.schedule_at(
-                    fault.time,
-                    network.partition_oneway,
-                    [list(g) for g in fault.groups],
-                    fault.blocked,
-                )
-                sim.schedule_at(fault.time + fault.duration, network.heal_oneway)
-            elif isinstance(fault, BandwidthCapWindow):
-                sim.schedule_at(fault.time, network.set_bandwidth_cap, fault.rate)
-                sim.schedule_at(fault.time + fault.duration, network.set_bandwidth_cap, None)
-            else:  # CrashWindow
-                if cluster is None:
-                    raise ValueError(
-                        "FaultScript contains crash windows; pass the cluster "
-                        "(e.g. SimCluster.apply_faults) so nodes can be crashed"
-                    )
-                for node in fault.nodes:
-                    sim.schedule_at(fault.time, cluster.crash_node, node)
-                if fault.restart_at is not None:
-                    for node in fault.nodes:
-                        sim.schedule_at(fault.restart_at, cluster.join_node, node)
+        program = compile_program(faults=self, baseline_loss=baseline_loss)
+        if cluster is None and any(op not in RULE_OPS for _, op, _ in program):
+            raise ValueError(
+                "FaultScript contains crash windows; pass the cluster "
+                "(e.g. SimCluster.apply_faults) so nodes can be crashed"
+            )
+        schedule_program(program, sim, network, cluster)
+
+
+# ----------------------------------------------------------------------
+# the fault program
+# ----------------------------------------------------------------------
+class FaultTarget(Protocol):
+    """The ops a compiled fault program calls.
+
+    The rule setters (:data:`~repro.sim.network.RULE_OPS`) are
+    implemented by a driver's link-rule set —
+    :class:`~repro.sim.network.Network` or
+    :class:`~repro.runtime.transport.ChaosRules`, both
+    :class:`~repro.sim.network.LinkRules` — and the node ops by
+    its node host (``SimCluster``, ``ThreadedCluster``, a process
+    ``ShardWorker``). Node ops name one node; a host ignores nodes it
+    does not run.
+    """
+
+    def set_loss(self, loss: Optional[LossModel]) -> None: ...
+    def set_link_loss(self, matrix: Optional[dict]) -> None: ...
+    def partition(self, groups) -> None: ...
+    def heal(self) -> None: ...
+    def partition_oneway(self, groups, blocked) -> None: ...
+    def heal_oneway(self) -> None: ...
+    def set_bandwidth_cap(self, rate: Optional[float]) -> None: ...
+    def crash_node(self, node) -> Any: ...
+    def join_node(self, node) -> Any: ...
+    def leave_node(self, node) -> Any: ...
+    def set_capacity(self, node, capacity: int) -> None: ...
+    def set_offered_rate(self, node, rate: float) -> None: ...
+
+
+def _lower_fault(fault, baseline_loss: Optional[LossModel]) -> list:
+    """One fault window's ops (open, then close); [] for unknown kinds."""
+    if isinstance(fault, CrashWindow):
+        ops = [(fault.time, "crash_node", (node,)) for node in fault.nodes]
+        if fault.restart_at is not None:
+            ops += [(fault.restart_at, "join_node", (node,)) for node in fault.nodes]
+        return ops
+    if isinstance(fault, LossWindow):
+        opened = ("set_loss", (BernoulliLoss(fault.p),))
+        closed = ("set_loss", (baseline_loss,))
+    elif isinstance(fault, LinkLossWindow):
+        opened = ("set_link_loss", (fault.matrix,))
+        closed = ("set_link_loss", (None,))
+    elif isinstance(fault, PartitionWindow):
+        opened = ("partition", (fault.groups,))
+        closed = ("heal", ())
+    elif isinstance(fault, AsymmetricPartitionWindow):
+        opened = ("partition_oneway", (fault.groups, fault.blocked))
+        closed = ("heal_oneway", ())
+    elif isinstance(fault, BandwidthCapWindow):
+        opened = ("set_bandwidth_cap", (fault.rate,))
+        closed = ("set_bandwidth_cap", (None,))
+    else:
+        return []
+    return [(fault.time, *opened), (fault.time + fault.duration, *closed)]
+
+
+def compile_program(
+    faults: Optional[FaultScript] = None,
+    churn=None,
+    resources=None,
+    baseline_loss: Optional[LossModel] = None,
+) -> tuple:
+    """Validate and lower scripted conditions into one fault program.
+
+    Returns a time-sorted tuple of ``(time, op, args)`` over the
+    :class:`FaultTarget` vocabulary. Same-instant ops keep the
+    simulator's scheduling order: resource changes, then fault windows
+    (time-sorted; each window's open, then its close), then churn
+    events — so a window closing at ``t`` always lands before one
+    opening at ``t``, whatever order the script lists them in.
+    ``baseline_loss`` is what a closing loss window restores. Fault
+    kinds without a lowering compile to nothing (the live drivers'
+    coverage audit reports them as skipped).
+    """
+    program: list = []
+    if resources is not None:
+        # lazy: the workload layer imports the simulator this module is part of
+        from repro.workload.dynamics import CapacityChange
+
+        for change in sorted(resources.changes, key=lambda c: c.time):
+            if isinstance(change, CapacityChange):
+                op, value = "set_capacity", change.capacity
+            else:
+                op, value = "set_offered_rate", change.rate
+            program += [(change.time, op, (node, value)) for node in change.nodes]
+    if faults is not None:
+        faults.validate()
+        for fault in sorted(faults.faults, key=lambda f: f.time):
+            program += _lower_fault(fault, baseline_loss)
+    if churn is not None:
+        program += [
+            (event.time, f"{event.action}_node", (event.node,))
+            for event in churn.sorted_events()
+        ]
+    program.sort(key=lambda entry: entry[0])  # stable: keeps same-instant order
+    return tuple(program)
+
+
+def schedule_program(program, sim: Simulator, rules, nodes) -> None:
+    """Schedule every op of ``program`` on the simulator's event heap.
+
+    Rule setters bind on ``rules`` (the :class:`~repro.sim.network.Network`),
+    node ops on ``nodes`` (the cluster). Scheduled back to back,
+    same-instant ops fire in program order.
+    """
+    for time, op, args in program:
+        sim.schedule_at(time, getattr(rules if op in RULE_OPS else nodes, op), *args)
+
+
+def prestart_split(program) -> tuple[list, list]:
+    """``(prestart, timed)``: the ops a live driver applies before start.
+
+    Capacity changes at t=0 land directly on the still-idle protocols
+    (slow receivers exist from the first round); everything else is
+    fired on the run's clock.
+    """
+    prestart, timed = [], []
+    for entry in program:
+        time, op, _ = entry
+        (prestart if time == 0.0 and op == "set_capacity" else timed).append(entry)
+    return prestart, timed

@@ -15,6 +15,7 @@ correlated loss degrades gossip reliability, §5).
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional, Protocol
 
@@ -30,10 +31,11 @@ __all__ = [
     "BernoulliLoss",
     "BurstLoss",
     "NetworkStats",
+    "LinkRules",
+    "RULE_OPS",
     "Network",
     "RateWindow",
     "build_partition_map",
-    "crosses_partition",
     "crosses_oneway",
 ]
 
@@ -44,9 +46,9 @@ Handler = Callable[[Any, Address, float], None]
 # ----------------------------------------------------------------------
 # shared network-rule building blocks
 #
-# The threaded runtime's ChaosTransport injects the same conditions this
-# simulated network models; partition semantics and bandwidth-window
-# accounting live here, once, so the two drivers cannot silently
+# The threaded and process runtimes inject the same conditions this
+# simulated network models; the rule state and the per-message decision
+# live in :class:`LinkRules`, once, so the drivers cannot silently
 # diverge (driver parity is asserted scenario-by-scenario in CI).
 # ----------------------------------------------------------------------
 def build_partition_map(groups) -> dict:
@@ -57,13 +59,6 @@ def build_partition_map(groups) -> dict:
         for addr in group:
             partition_of[addr] = gid
     return partition_of
-
-
-def crosses_partition(partition_of: dict, src, dst) -> bool:
-    """Whether a (src, dst) message crosses an open partition."""
-    if not partition_of:
-        return False
-    return partition_of.get(src, -1) != partition_of.get(dst, -1)
 
 
 def crosses_oneway(oneway_of: dict, blocked: frozenset, src, dst) -> bool:
@@ -91,12 +86,7 @@ class RateWindow:
 
     __slots__ = ("rate", "_window", "_used")
 
-    def __init__(self) -> None:
-        self.rate: Optional[float] = None
-        self._window = -1
-        self._used = 0
-
-    def set(self, rate: Optional[float]) -> None:
+    def __init__(self, rate: Optional[float] = None) -> None:
         if rate is not None and rate <= 0:
             raise ValueError("bandwidth cap must be > 0 msg/s (or None)")
         self.rate = rate
@@ -235,7 +225,180 @@ class NetworkStats:
         self.capped = 0
 
 
-class Network:
+# The ops of a compiled fault program that act on a link-rule set (see
+# repro.sim.faults.compile_program); every other op acts on nodes.
+RULE_OPS = frozenset(
+    (
+        "set_loss",
+        "set_link_loss",
+        "partition",
+        "heal",
+        "partition_oneway",
+        "heal_oneway",
+        "set_bandwidth_cap",
+    )
+)
+
+
+class LinkRules:
+    """The live link-rule state and the one per-message decision.
+
+    Every driver evaluates its network conditions here: the simulator's
+    :class:`Network` and the threaded and process chaos layers
+    (:class:`~repro.runtime.transport.ChaosRules`) are link-rule sets,
+    and the vector lane's batched filter reads the public fields.
+    The setters are the rule ops of a compiled fault program (see
+    :data:`RULE_OPS`). :meth:`verdict`
+    names the counter a message is charged to — ``partitioned``,
+    ``oneway_blocked``, ``no_route``, ``capped``, ``lost`` or
+    ``link_lost``, the :class:`NetworkStats` field names — or returns
+    None when the message goes through. ``idle`` is True while no rule
+    is open and the loss model is :class:`NoLoss`; hot paths test it
+    once and skip the decision entirely.
+
+    Setters run under ``lock`` (a no-op by default). A rule set that
+    evaluates from several threads passes a real lock and holds it
+    around :meth:`verdict`.
+    """
+
+    __slots__ = (
+        "loss",
+        "partition_of",
+        "oneway_of",
+        "oneway_blocked",
+        "link_loss",
+        "cap",
+        "idle",
+        "_lock",
+    )
+
+    def __init__(self, loss: Optional[LossModel] = None, lock=None) -> None:
+        self._lock = lock if lock is not None else nullcontext()
+        self.loss: LossModel = NoLoss()
+        self.partition_of: dict = {}
+        # one-way partition (independent knob: may be open at the same
+        # time as a symmetric partition, a loss window or a cap)
+        self.oneway_of: dict = {}
+        self.oneway_blocked: frozenset = frozenset()
+        # sparse per-link loss matrix ((src, dst) -> p); None when closed
+        self.link_loss: Optional[dict] = None
+        self.cap = RateWindow()
+        self.idle = True
+        self.set_loss(loss)
+
+    def _update_idle(self) -> None:
+        self.idle = (
+            type(self.loss) is NoLoss
+            and not self.partition_of
+            and not self.oneway_blocked
+            and self.link_loss is None
+            and self.cap.rate is None
+        )
+
+    def set_loss(self, loss: Optional[LossModel]) -> None:
+        """Swap the loss model (``None`` means no loss)."""
+        with self._lock:
+            self.loss = loss if loss is not None else NoLoss()
+            self._update_idle()
+
+    def partition(self, groups) -> None:
+        """Split the network: messages may only cross within one group.
+
+        Addresses not mentioned in any group remain in the implicit group
+        ``-1`` and can still talk to each other.
+        """
+        partition_of = build_partition_map(groups)
+        with self._lock:
+            self.partition_of = partition_of
+            self._update_idle()
+
+    def heal(self) -> None:
+        """Remove any symmetric partition (one-way cuts are a separate knob)."""
+        with self._lock:
+            self.partition_of = {}
+            self._update_idle()
+
+    def partition_oneway(self, groups, blocked) -> None:
+        """Cut the *directed* group edges in ``blocked``.
+
+        ``groups`` splits addresses as in :meth:`partition`; ``blocked``
+        is an iterable of ``(src_group, dst_group)`` index pairs that can
+        no longer be crossed. Traffic in the reverse direction — and any
+        direction not listed — still flows. Independent of
+        :meth:`partition`: both cuts may be open at once.
+        """
+        oneway_of = build_partition_map(groups)
+        oneway_blocked = frozenset((a, b) for a, b in blocked)
+        with self._lock:
+            self.oneway_of = oneway_of
+            self.oneway_blocked = oneway_blocked
+            self._update_idle()
+
+    def heal_oneway(self) -> None:
+        """Remove any one-way cut."""
+        with self._lock:
+            self.oneway_of = {}
+            self.oneway_blocked = frozenset()
+            self._update_idle()
+
+    def set_link_loss(self, matrix: Optional[dict]) -> None:
+        """Open (or with ``None`` close) a sparse per-link loss matrix.
+
+        ``matrix`` maps ``(src, dst)`` to a loss probability; pairs not
+        in it are unaffected. Applied *after* the global loss model, and
+        only draws from the RNG for pairs with an entry, so runs without
+        link loss consume an identical RNG stream.
+        """
+        link_loss = dict(matrix) if matrix else None
+        with self._lock:
+            self.link_loss = link_loss
+            self._update_idle()
+
+    def set_bandwidth_cap(self, rate: Optional[float]) -> None:
+        """Cap throughput at ``rate`` messages per second.
+
+        Accounted in one-second windows of the caller's clock (see
+        :class:`RateWindow`): once ``rate`` messages have entered within
+        a window, further sends in that window are refused. ``None``
+        removes the cap; setting a cap starts a fresh window.
+        """
+        cap = RateWindow(rate)  # validate outside the lock
+        with self._lock:
+            self.cap = cap
+            self._update_idle()
+
+    def verdict(self, src, dst, now: float, rng, routable=None) -> Optional[str]:
+        """The counter a ``src -> dst`` message is charged to, or None.
+
+        Rule order: partition, one-way cut, route (only when the caller
+        passes the ``routable`` container), bandwidth cap (accounted at
+        ``now``), loss model, per-link loss. The deterministic rules run
+        before the loss draws, so they never perturb ``rng``; a message
+        the cap lets through has spent its budget even if it is lost
+        afterwards.
+        """
+        partition_of = self.partition_of
+        if partition_of and partition_of.get(src, -1) != partition_of.get(dst, -1):
+            return "partitioned"
+        if self.oneway_blocked and crosses_oneway(
+            self.oneway_of, self.oneway_blocked, src, dst
+        ):
+            return "oneway_blocked"
+        if routable is not None and dst not in routable:
+            return "no_route"
+        if self.cap.rate is not None and self.cap.exceeded(now):
+            return "capped"
+        if self.loss.is_lost(src, dst, rng):
+            return "lost"
+        link_loss = self.link_loss
+        if link_loss is not None:
+            p = link_loss.get((src, dst))
+            if p is not None and rng.random() < p:
+                return "link_lost"
+        return None
+
+
+class Network(LinkRules):
     """Delivers messages between attached handlers through the simulator.
 
     Deliveries are *coalesced per instant*: every message arriving at one
@@ -265,22 +428,12 @@ class Network:
         latency: Optional[LatencyModel] = None,
         loss: Optional[LossModel] = None,
     ) -> None:
+        super().__init__(loss)
         self._sim = sim
         self._latency = latency if latency is not None else UniformLatency()
-        self._loss = loss if loss is not None else NoLoss()
         self._rng = sim.rngs.stream("network")
         self._handlers: dict[Address, Handler] = {}
         self._batch_handlers: dict[Address, Callable] = {}
-        self._partition_of: dict[Address, int] = {}
-        # One-way partition (independent knob: may be open at the same
-        # time as a symmetric partition, a loss window or a cap).
-        self._oneway_of: dict[Address, int] = {}
-        self._oneway_blocked: frozenset = frozenset()
-        # Sparse per-link loss matrix ((src, dst) -> p); None when closed.
-        self._link_loss: Optional[dict] = None
-        # Bandwidth cap: at most _cap.rate messages may enter the network
-        # per one-second window; None disables the cap entirely.
-        self._cap = RateWindow()
         # (message, src) pairs queued per destination for the current
         # instant, drained by one _flush_pending event per timestamp.
         self._pending: dict[Address, list] = {}
@@ -315,10 +468,6 @@ class Network:
         self._handlers.pop(address, None)
         self._batch_handlers.pop(address, None)
 
-    def set_loss(self, loss: Optional[LossModel]) -> None:
-        """Swap the loss model at runtime (fault injection)."""
-        self._loss = loss if loss is not None else NoLoss()
-
     def is_attached(self, address: Address) -> bool:
         """Whether ``address`` currently has a receiver."""
         return address in self._handlers
@@ -328,115 +477,23 @@ class Network:
         """All currently attached addresses."""
         return list(self._handlers)
 
-    # ------------------------------------------------------------------
-    # partitions
-    # ------------------------------------------------------------------
-    def partition(self, groups: list[list[Address]]) -> None:
-        """Split the network: messages may only cross within one group.
-
-        Addresses not mentioned in any group remain in the implicit group
-        ``-1`` and can still talk to each other.
-        """
-        self._partition_of = build_partition_map(groups)
-
-    def heal(self) -> None:
-        """Remove any symmetric partition (one-way cuts are a separate knob)."""
-        self._partition_of = {}
-
-    def partition_oneway(self, groups: list[list[Address]], blocked) -> None:
-        """Cut the *directed* group edges in ``blocked``.
-
-        ``groups`` splits addresses as in :meth:`partition`; ``blocked``
-        is an iterable of ``(src_group, dst_group)`` index pairs that can
-        no longer be crossed. Traffic in the reverse direction — and any
-        direction not listed — still flows. Independent of
-        :meth:`partition`: both cuts may be open at once.
-        """
-        self._oneway_of = build_partition_map(groups)
-        self._oneway_blocked = frozenset((a, b) for a, b in blocked)
-
-    def heal_oneway(self) -> None:
-        """Remove any one-way cut."""
-        self._oneway_of = {}
-        self._oneway_blocked = frozenset()
-
-    def _crosses_partition(self, src: Address, dst: Address) -> bool:
-        return crosses_partition(self._partition_of, src, dst)
-
-    # ------------------------------------------------------------------
-    # per-link loss
-    # ------------------------------------------------------------------
-    def set_link_loss(self, matrix: Optional[dict]) -> None:
-        """Open (or with ``None`` close) a sparse per-link loss matrix.
-
-        ``matrix`` maps ``(src, dst)`` to a loss probability; pairs not
-        in it are unaffected. Applied *after* the global loss model, and
-        only draws from the RNG for pairs with an entry, so runs without
-        link loss consume an identical RNG stream.
-        """
-        self._link_loss = dict(matrix) if matrix else None
-
-    # ------------------------------------------------------------------
-    # bandwidth cap
-    # ------------------------------------------------------------------
-    def set_bandwidth_cap(self, rate: Optional[float]) -> None:
-        """Cap network throughput at ``rate`` messages per second.
-
-        The cap is accounted in one-second windows of virtual time:
-        once ``rate`` messages have entered the network within a window,
-        further sends in that window are dropped (counted in
-        ``stats.capped``) — a blunt but deterministic model of a
-        saturated link or switch. ``None`` removes the cap.
-        """
-        self._cap.set(rate)
-
-    def _cap_exceeded(self) -> bool:
-        # Only called while a cap is set; checked after partition/route
-        # filtering and *before* the loss model so the RNG stream of an
-        # uncapped run is untouched by this feature.
-        if self._cap.exceeded(self._sim.now):
-            self.stats.capped += 1
-            return True
-        return False
+    @property
+    def _loss(self) -> LossModel:
+        """The loss model in force (read-only alias of ``loss``)."""
+        return self.loss
 
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
     def send(self, src: Address, dst: Address, message: Any, items: int = 1) -> bool:
-        """Queue ``message`` from ``src`` to ``dst``.
+        """Queue ``message`` from ``src`` to ``dst`` (a one-address :meth:`multicast`).
 
         Returns True if the message was scheduled for delivery, False if
         it was dropped (loss, partition, or unknown destination). ``items``
         is an accounting hint (number of application events inside) used
         for payload statistics only.
         """
-        self.stats.sent += 1
-        self.stats.payload_items += items
-        if self._crosses_partition(src, dst):
-            self.stats.partitioned += 1
-            return False
-        if self._oneway_blocked and crosses_oneway(
-            self._oneway_of, self._oneway_blocked, src, dst
-        ):
-            self.stats.oneway_blocked += 1
-            return False
-        if dst not in self._handlers:
-            self.stats.no_route += 1
-            return False
-        if self._cap.rate is not None and self._cap_exceeded():
-            return False
-        if self._loss.is_lost(src, dst, self._rng):
-            self.stats.lost += 1
-            return False
-        link_loss = self._link_loss
-        if link_loss is not None:
-            p = link_loss.get((src, dst))
-            if p is not None and self._rng.random() < p:
-                self.stats.link_lost += 1
-                return False
-        delay = self._latency.sample(src, dst, self._rng)
-        self._sim.schedule(delay, self._deliver, dst, message, src)
-        return True
+        return self.multicast(src, (dst,), message, items) == 1
 
     def multicast(self, src: Address, dsts, message: Any, items: int = 1) -> int:
         """Queue one ``message`` from ``src`` to every address in ``dsts``.
@@ -457,28 +514,11 @@ class Network:
         stats.sent += n
         stats.payload_items += items * n
         handlers = self._handlers
-        partition_of = self._partition_of
-        partition_get = partition_of.get if partition_of else None
-        src_group = partition_get(src, -1) if partition_get is not None else -1
-        oneway_blocked = self._oneway_blocked
-        oneway_get = self._oneway_of.get if oneway_blocked else None
-        src_oneway = oneway_get(src, -1) if oneway_get is not None else -1
-        loss = self._loss
-        lossless = type(loss) is NoLoss
-        link_loss = self._link_loss
-        rng = self._rng
         latency = self._latency
         fixed_delay = latency.delay if type(latency) is ConstantLatency else None
-        cap_rate = self._cap.rate
-        if (
-            fixed_delay is not None
-            and lossless
-            and partition_get is None
-            and not oneway_blocked
-            and link_loss is None
-            and cap_rate is None
-        ):
-            # Draw-free models, no partition: every destination shares one
+        idle = self.idle
+        if idle and fixed_delay is not None:
+            # Draw-free models, no open rule: every destination shares one
             # delay and nothing consults the RNG, so the whole fanout
             # reduces to a membership filter and a single scheduled event.
             batch = [dst for dst in dsts if dst in handlers]
@@ -488,30 +528,24 @@ class Network:
             if batch:
                 self._sim.post(fixed_delay, self._deliver_batch, tuple(batch), message, src)
             return len(batch)
+        # the fault-free loop stays call-free per destination: the rule
+        # set is consulted only while something is open
+        verdict = None if idle else self.verdict
+        now = self._sim.now
+        rng = self._rng
         post = self._sim.post
         scheduled = 0
         batch_delay = -1.0
         batch = []
         for dst in dsts:
-            if partition_get is not None and partition_get(dst, -1) != src_group:
-                stats.partitioned += 1
-                continue
-            if oneway_get is not None and (src_oneway, oneway_get(dst, -1)) in oneway_blocked:
-                stats.oneway_blocked += 1
-                continue
-            if dst not in handlers:
+            if verdict is not None:
+                charged = verdict(src, dst, now, rng, handlers)
+                if charged is not None:
+                    setattr(stats, charged, getattr(stats, charged) + 1)
+                    continue
+            elif dst not in handlers:
                 stats.no_route += 1
                 continue
-            if cap_rate is not None and self._cap_exceeded():
-                continue
-            if not lossless and loss.is_lost(src, dst, rng):
-                stats.lost += 1
-                continue
-            if link_loss is not None:
-                p = link_loss.get((src, dst))
-                if p is not None and rng.random() < p:
-                    stats.link_lost += 1
-                    continue
             delay = fixed_delay if fixed_delay is not None else latency.sample(src, dst, rng)
             if delay == batch_delay:
                 batch.append(dst)
@@ -525,22 +559,9 @@ class Network:
             post(batch_delay, self._deliver_batch, tuple(batch), message, src)
         return scheduled
 
-    def _enqueue(self, dst: Address, message: Any, src: Address) -> None:
+    def _deliver_batch(self, dsts: tuple, message: Any, src: Address) -> None:
         # Batch-handled destinations queue bare messages (their handler
         # never sees the source); plain handlers queue (message, src).
-        queue = self._pending.get(dst)
-        item = message if dst in self._batch_handlers else (message, src)
-        if queue is None:
-            self._pending[dst] = [item]
-        else:
-            queue.append(item)
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self._sim.post(0.0, self._flush_pending)
-
-    _deliver = _enqueue
-
-    def _deliver_batch(self, dsts: tuple, message: Any, src: Address) -> None:
         pending = self._pending
         batched = self._batch_handlers
         for dst in dsts:

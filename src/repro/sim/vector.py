@@ -38,10 +38,10 @@ regime:
 * the network's multicast rule order (partition → one-way cut → route →
   bandwidth cap → loss → per-link loss, then one constant delay) is
   replicated per message without routing anything through the heap, and
-  the cap/partition/link state is *read live from the network object* at
-  each tick, so fault windows opened and closed by
-  :class:`~repro.sim.faults.FaultScript` lower onto the columnar lane
-  unchanged.
+  the rule state is *read live from the network's*
+  :class:`~repro.sim.network.LinkRules` at each tick, so fault windows
+  opened and closed by :class:`~repro.sim.faults.FaultScript` lower onto
+  the columnar lane unchanged.
 
 Fault vocabulary on the columnar lane
 -------------------------------------
@@ -76,15 +76,8 @@ from typing import Any, Optional
 
 from repro.gossip.events import EventId
 from repro.gossip.lpbcast import ProtocolStats
-from repro.sim.faults import (
-    AsymmetricPartitionWindow,
-    BandwidthCapWindow,
-    CrashWindow,
-    LinkLossWindow,
-    LossWindow,
-    PartitionWindow,
-)
-from repro.sim.network import BernoulliLoss, ConstantLatency, Network, NoLoss
+from repro.sim.faults import compile_program
+from repro.sim.network import RULE_OPS, BernoulliLoss, ConstantLatency, Network, NoLoss
 from repro.sim.engine import RoundDispatcher, Simulator
 
 try:  # optional accelerator — stdlib-only installs work unchanged
@@ -102,14 +95,6 @@ __all__ = [
     "vector_ineligible_reason",
     "mega_schedule_reason",
 ]
-
-_WINDOW_FAULTS = (
-    LossWindow,
-    LinkLossWindow,
-    PartitionWindow,
-    AsymmetricPartitionWindow,
-    BandwidthCapWindow,
-)
 
 
 def _restart_aligned(time: float, phase: float, period: float) -> bool:
@@ -141,70 +126,43 @@ def mega_schedule_reason(
 ) -> Optional[str]:
     """Why a fault/churn schedule cannot lower onto the columnar lane.
 
-    Returns ``None`` when every scheduled condition is supported: loss,
-    partition, one-way, link-loss and bandwidth-cap windows always are
-    (they are reachability/loss filters read live at each tick); crash
-    and churn are, provided no *sender* node departs (its sender process
+    Reads the compiled fault program (see
+    :func:`~repro.sim.faults.compile_program`). Returns ``None`` when
+    every op is supported: the link-rule ops always are (they are
+    reachability/loss filters read live at each tick); the node ops are,
+    provided no *sender* node departs or rejoins (its sender process
     would keep broadcasting into the corpse), every re-admitted identity
-    already has columns (``0 <= id < n_nodes``), and every restart/join
-    lands exactly on a round tick (off-tick rejoiners would run their
-    own round schedule, which one shared tick cannot represent).
+    already has columns (``0 <= id < n_nodes``), and every join lands
+    exactly on a round tick (off-tick rejoiners would run their own
+    round schedule, which one shared tick cannot represent).
     """
     period = system.gossip_period
     phase = system.round_phase
     senders = set(sender_ids)
-    if faults is not None:
-        for fault in getattr(faults, "faults", faults):
-            if isinstance(fault, CrashWindow):
-                hit = senders.intersection(fault.nodes)
-                if hit:
-                    return (
-                        f"crash window at t={fault.time} crashes sender "
-                        f"node(s) {sorted(hit, key=repr)}: a sender process "
-                        "keeps broadcasting into its crashed node"
-                    )
-                if fault.restart_at is not None and not _restart_aligned(
-                    fault.restart_at, phase, period
-                ):
-                    return (
-                        f"crash window restarts at t={fault.restart_at}, "
-                        f"which is not a round tick (phase={phase}, "
-                        f"period={period}): restarted nodes would tick out "
-                        "of phase with the population"
-                    )
-            elif not isinstance(fault, _WINDOW_FAULTS):
-                return f"unsupported fault window type {type(fault).__name__}"
-    if churn is not None:
-        for event in churn.sorted_events():
-            if event.action in ("leave", "crash"):
-                if event.node in senders:
-                    return (
-                        f"churn {event.action} of sender node {event.node!r} "
-                        f"at t={event.time}: a sender process keeps "
-                        "broadcasting into its departed node"
-                    )
-            elif event.action == "join":
-                if event.node in senders:
-                    return (
-                        f"churn join of sender node {event.node!r} at "
-                        f"t={event.time}: sender lifecycles stay per-node"
-                    )
-                if not (
-                    isinstance(event.node, int) and 0 <= event.node < n_nodes
-                ):
-                    return (
-                        f"churn join of brand-new node {event.node!r}: the "
-                        "columnar lane only re-admits identities it has "
-                        "columns for (0..n_nodes-1)"
-                    )
-                if not _restart_aligned(event.time, phase, period):
-                    return (
-                        f"churn join at t={event.time} is not a round tick "
-                        f"(phase={phase}, period={period}): rejoining nodes "
-                        "would tick out of phase with the population"
-                    )
-            else:  # pragma: no cover - ChurnEvent validates its action
-                return f"unsupported churn action {event.action!r}"
+    for time, op, args in compile_program(faults=faults, churn=churn):
+        if op in RULE_OPS:
+            continue
+        node = args[0]
+        if node in senders:
+            return (
+                f"{op} of sender node {node!r} at t={time}: sender "
+                "lifecycles stay per-node (a departed sender's process "
+                "keeps broadcasting into its node)"
+            )
+        if op != "join_node":
+            continue
+        if not (isinstance(node, int) and 0 <= node < n_nodes):
+            return (
+                f"join_node of brand-new node {node!r}: the columnar lane "
+                "only re-admits identities it has columns for "
+                "(0..n_nodes-1)"
+            )
+        if not _restart_aligned(time, phase, period):
+            return (
+                f"join_node at t={time} is not a round tick "
+                f"(phase={phase}, period={period}): rejoining nodes would "
+                "tick out of phase with the population"
+            )
     return None
 
 
@@ -438,7 +396,8 @@ class VectorRoundExecutor:
         self.collector = collector
         self.system = system
         self.n = n_nodes
-        self._network = network
+        self._rules = network  # the network's live LinkRules
+        self._net_rng = sim.rngs.stream("network")  # the network's own stream
         self.net_stats = network.stats
         self._np = _np if use_numpy else None
         self._delay = latency.delay
@@ -583,18 +542,11 @@ class VectorRoundExecutor:
         ns = self.net_stats
         ns.sent += a * k
         ns.payload_items += sum(sizes) * k
-        net = self._network
-        if (
-            type(net._loss) is NoLoss
-            and not net._partition_of
-            and not net._oneway_blocked
-            and net._link_loss is None
-            and net._cap.rate is None
-        ):
+        if self._rules.idle:
             # the draw-free multicast fast path: every message survives
             n_sched = a * k
         else:
-            rows, n_sched = self._chaos_filter(order, rows)
+            rows, n_sched = self._chaos_filter(order, rows, now)
         if not n_sched:
             return
         # holder rows of unsaturated live events, captured at tick time —
@@ -673,29 +625,50 @@ class VectorRoundExecutor:
                     rows[pi] = row
         return rows
 
-    def _chaos_filter(self, order, rows):
-        """Apply the network's live fault state to this tick's emissions.
+    def _chaos_filter(self, order, rows, now: float):
+        """Apply the network's live link rules to this tick's emissions.
 
-        Replicates :meth:`~repro.sim.network.Network.multicast`'s
-        non-fast-path rule order per message — partition, one-way cut,
-        bandwidth cap (which consumes window budget), then the loss
-        model and the per-link matrix — consuming the same ``("network",)``
-        stream draw for draw. The deterministic rules run first for every
-        message, then the loss draws over the survivors: valid because
-        cap budget depends only on prior deterministic outcomes (cap
-        precedes loss per message, and a lost message still consumed its
-        budget) and the loss draws are the only RNG consumers.
+        Charges the same counters and consumes the same ``("network",)``
+        draws as :meth:`~repro.sim.network.Network.multicast`, message by
+        message through :meth:`~repro.sim.network.LinkRules.verdict`.
+        With no per-link loss and a draw-free or (with numpy) Bernoulli
+        loss model it batches instead, reading the rule set's public
+        fields: the deterministic rules (partition, one-way cut,
+        bandwidth cap) run first for every message, then one bulk block
+        of loss draws covers the survivors. Valid because cap budget
+        depends only on prior deterministic outcomes (cap precedes loss
+        per message, and a lost message still consumed its budget) and
+        the loss draws are the only RNG consumers.
         """
-        net = self._network
+        rules = self._rules
         ns = self.net_stats
-        partition_of = net._partition_of
-        pget = partition_of.get if partition_of else None
-        oneway_blocked = net._oneway_blocked
-        oget = net._oneway_of.get if oneway_blocked else None
-        cap_on = net._cap.rate is not None
-        if pget is not None or oget is not None or cap_on:
-            cap_exceeded = net._cap_exceeded
+        loss = rules.loss
+        if rules.link_loss is not None or not (
+            type(loss) is NoLoss
+            or (self._np is not None and type(loss) is BernoulliLoss)
+        ):
+            verdict = rules.verdict
+            rng = self._net_rng
             filtered: list[list[int]] = []
+            for pi, row in enumerate(rows):
+                src = order[pi]
+                kept = []
+                for dst in row:
+                    charged = verdict(src, dst, now, rng)
+                    if charged is None:
+                        kept.append(dst)
+                    else:
+                        setattr(ns, charged, getattr(ns, charged) + 1)
+                filtered.append(kept)
+            return filtered, sum(map(len, filtered))
+        partition_of = rules.partition_of
+        pget = partition_of.get if partition_of else None
+        oneway_blocked = rules.oneway_blocked
+        oget = rules.oneway_of.get if oneway_blocked else None
+        cap = rules.cap
+        cap_on = cap.rate is not None
+        if pget is not None or oget is not None or cap_on:
+            filtered = []
             for pi, row in enumerate(rows):
                 src = order[pi]
                 sg = pget(src, -1) if pget is not None else -1
@@ -709,54 +682,24 @@ class VectorRoundExecutor:
                     if oget is not None and (so, oget(dst, -1)) in oneway_blocked:
                         ns.oneway_blocked += 1
                         continue
-                    if cap_on and cap_exceeded():
-                        continue  # counted in stats.capped by the network
+                    if cap_on and cap.exceeded(now):
+                        ns.capped += 1
+                        continue
                     keep(dst)
                 filtered.append(kept)
             rows = filtered
-        loss = net._loss
-        lossless = type(loss) is NoLoss
-        link_loss = net._link_loss
-        if not lossless or link_loss is not None:
-            rng = net._rng
-            if (
-                self._np is not None
-                and link_loss is None
-                and type(loss) is BernoulliLoss
-            ):
-                # one bulk block of doubles for the whole tick, replayed
-                # against (and written back to) the stdlib stream state
-                total = sum(map(len, rows))
-                if total:
-                    lost = (self._bulk_random(rng, total) < loss.p).tolist()
-                    filtered = []
-                    base = 0
-                    for row in rows:
-                        kept = [
-                            dst
-                            for off, dst in enumerate(row)
-                            if not lost[base + off]
-                        ]
-                        ns.lost += len(row) - len(kept)
-                        base += len(row)
-                        filtered.append(kept)
-                    rows = filtered
-            else:
+        if type(loss) is BernoulliLoss:
+            # one bulk block of doubles for the whole tick, replayed
+            # against (and written back to) the stdlib stream state
+            total = sum(map(len, rows))
+            if total:
+                lost = (self._bulk_random(self._net_rng, total) < loss.p).tolist()
                 filtered = []
-                for pi, row in enumerate(rows):
-                    src = order[pi]
-                    kept = []
-                    keep = kept.append
-                    for dst in row:
-                        if not lossless and loss.is_lost(src, dst, rng):
-                            ns.lost += 1
-                            continue
-                        if link_loss is not None:
-                            p = link_loss.get((src, dst))
-                            if p is not None and rng.random() < p:
-                                ns.link_lost += 1
-                                continue
-                        keep(dst)
+                base = 0
+                for row in rows:
+                    kept = [dst for off, dst in enumerate(row) if not lost[base + off]]
+                    ns.lost += len(row) - len(kept)
+                    base += len(row)
                     filtered.append(kept)
                 rows = filtered
         return rows, sum(map(len, rows))

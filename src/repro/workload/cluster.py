@@ -42,6 +42,7 @@ from repro.membership.full import FullMembershipView
 from repro.membership.views import PartialViewMembership, ViewConfig
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import RoundDispatcher, Simulator
+from repro.sim.faults import compile_program, schedule_program
 from repro.sim.network import LatencyModel, LossModel, Network, UniformLatency
 from repro.sim.process import SimProcess
 from repro.sim.trace import TraceLog
@@ -438,8 +439,20 @@ class SimCluster(Driver):
     # runtime control
     # ------------------------------------------------------------------
     def set_capacity(self, node_id: NodeId, capacity: int) -> None:
-        """Change a node's buffer capacity now (Figure 9's resource change)."""
-        self.nodes[node_id].protocol.set_buffer_capacity(capacity, self.sim.now)
+        """Change a node's buffer capacity now (Figure 9's resource change).
+
+        A node that is not running (crashed, departed, never joined) is
+        skipped.
+        """
+        node = self.nodes.get(node_id)
+        if node is not None:
+            node.protocol.set_buffer_capacity(capacity, self.sim.now)
+
+    def set_offered_rate(self, node_id: NodeId, rate: float) -> None:
+        """Repace ``node_id``'s sender now (no-op for non-senders)."""
+        sender = self.senders.get(node_id)
+        if sender is not None:
+            sender.set_rate(rate)
 
     def at(self, time: float, fn: Callable[[], None]) -> None:
         """Schedule a scenario action at an absolute simulation time."""
@@ -531,13 +544,7 @@ class SimCluster(Driver):
     def apply_churn(self, script: ChurnScript) -> None:
         """Schedule a churn script's events on the simulator."""
         self._check_mega_schedule(churn=script)
-        for event in script.sorted_events():
-            action = {
-                "join": self.join_node,
-                "leave": self.leave_node,
-                "crash": self.crash_node,
-            }[event.action]
-            self.sim.schedule_at(event.time, action, event.node)
+        schedule_program(compile_program(churn=script), self.sim, self.network, self)
 
     def apply_faults(self, script, baseline_loss=None) -> None:
         """Validate and schedule a :class:`~repro.sim.faults.FaultScript`.

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from repro.gossip.protocol import NodeId
+from repro.sim.faults import compile_program, schedule_program
 from repro.workload.cluster import SimCluster
 
 __all__ = ["CapacityChange", "OfferedRateChange", "ResourceScript"]
@@ -115,31 +116,17 @@ class ResourceScript:
         return self
 
     def apply(self, cluster: SimCluster) -> None:
-        """Schedule every change on the cluster's simulator."""
-        for change in sorted(self.changes, key=lambda c: c.time):
-            if isinstance(change, CapacityChange):
-                cluster.at(change.time, _capacity_action(cluster, change))
-            else:
-                cluster.at(change.time, _rate_action(cluster, change))
+        """Schedule every change on the cluster's simulator.
+
+        The changes compile to ``set_capacity``/``set_offered_rate`` ops
+        of the shared fault program (see
+        :func:`~repro.sim.faults.compile_program`); nodes the cluster
+        does not run at that moment are skipped.
+        """
+        schedule_program(
+            compile_program(resources=self), cluster.sim, cluster.network, cluster
+        )
 
     def __len__(self) -> int:
         return len(self.changes)
 
-
-def _capacity_action(cluster: SimCluster, change: CapacityChange):
-    def action() -> None:
-        for node in change.nodes:
-            if node in cluster.nodes:
-                cluster.set_capacity(node, change.capacity)
-
-    return action
-
-
-def _rate_action(cluster: SimCluster, change: OfferedRateChange):
-    def action() -> None:
-        for node in change.nodes:
-            sender = cluster.senders.get(node)
-            if sender is not None:
-                sender.set_rate(change.rate)
-
-    return action

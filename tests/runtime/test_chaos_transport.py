@@ -87,7 +87,7 @@ def test_partition_blocks_cross_group_only():
     assert rules.plan(0, 2, rng) is None  # across the split
     assert rules.plan(4, 5, rng) == 0.0  # unmentioned nodes share group -1
     assert rules.plan(0, 4, rng) is None  # named vs unmentioned differ
-    assert rules.stats.blocked == 2
+    assert rules.stats.partitioned == 2
     rules.heal()
     assert rules.plan(0, 2, rng) == 0.0
     rules.close()
@@ -146,7 +146,7 @@ def test_rule_updates_apply_mid_stream():
     rules.set_loss(None)
     transport.send("d", b"4")
     assert [data for _, data in inner.sent] == [b"1", b"4"]
-    assert rules.stats.dropped == 2
+    assert rules.stats.lost == 2
     rules.close()
 
 
@@ -181,7 +181,7 @@ def test_link_loss_matrix_is_per_pair():
     assert rules.plan(0, 1, rng) is None
     assert rules.plan(1, 0, rng) == 0.0  # reverse pair not in the matrix
     assert rules.plan(0, 2, rng) == 0.0
-    assert rules.stats.link_dropped == 1
+    assert rules.stats.link_lost == 1
     rules.set_link_loss(None)
     assert rules.plan(0, 1, rng) == 0.0
     rules.close()

@@ -45,7 +45,7 @@ def test_partition_then_heal():
         # have seen *nothing* while the partition stood
         assert all(snapshot[n] == 0 for n in right)
         assert any(snapshot[n] > 0 for n in left)
-        assert rules.stats.blocked > 0  # gossip did try to cross
+        assert rules.stats.partitioned > 0  # gossip did try to cross
 
         rules.heal()
         for i in range(5):
